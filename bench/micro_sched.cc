@@ -1,6 +1,6 @@
 /**
  * @file
- * Scheduler microbenchmarks and the event-loop speedup sweep.
+ * Scheduler microbenchmarks and the event-loop throughput sweep.
  *
  * Two halves share this binary (micro_memsys.cc layout):
  *
@@ -8,12 +8,11 @@
  *    the central EventQueue re-key/popDue path, the open-addressed
  *    MSHR table (FlatMap) churn, and the cache tag-index lookup and
  *    victim-scan paths the data-layout pass rebuilt;
- *  - the speedup sweep: each trajectory workload simulated once
- *    under the retained polling loop (LUMI_LEGACY_LOOP=1) and once
+ *  - the throughput sweep: each trajectory workload simulated once
  *    under the event scheduler, reporting simulated cycles per
- *    wall-second and wall ms per frame for both, next to the seed
- *    baseline recorded before the scheduler/data-layout work. The
- *    sweep writes the machine-readable BENCH_sched.json consumed by
+ *    wall-second and wall ms per frame next to the seed baseline
+ *    recorded before the scheduler/data-layout work. The sweep
+ *    writes the machine-readable BENCH_sched.json consumed by
  *    tools/check_perf.py (CI perf smoke, > 2x regression gate).
  *
  * Flags: --sweep-only runs just the sweep (what CI uses),
@@ -144,7 +143,7 @@ BM_CacheVictimScan(benchmark::State &state)
 BENCHMARK(BM_CacheVictimScan)->Arg(0)->Arg(16);
 
 // ------------------------------------------------------------- //
-// The speedup sweep: legacy polling loop vs event scheduler.
+// The throughput sweep: the event scheduler vs the seed baseline.
 // ------------------------------------------------------------- //
 
 struct SchedPoint
@@ -174,7 +173,6 @@ struct SchedRow
     SchedPoint point;
     uint64_t cycles = 0;
     double eventWallMs = 0.0;
-    double legacyWallMs = 0.0;
 };
 
 double
@@ -228,44 +226,23 @@ runSchedSweep(const std::string &json_path)
 
         SchedRow row;
         row.point = point;
-        // Before: the retained polling loop (same binary, same data
-        // layout; the Gpu constructor reads the env var).
-        setenv("LUMI_LEGACY_LOOP", "1", 1);
         double wall = 0.0;
-        WorkloadResult legacy = runPoint(job, wall);
-        row.legacyWallMs = wall * 1000.0;
-        unsetenv("LUMI_LEGACY_LOOP");
-        // After: the event scheduler.
         WorkloadResult event = runPoint(job, wall);
         row.eventWallMs = wall * 1000.0;
         row.cycles = event.stats.cycles;
-        if (legacy.stats.cycles != event.stats.cycles) {
-            std::fprintf(stderr,
-                         "micro_sched: %s/%s loop parity broken: "
-                         "legacy %llu cycles vs event %llu\n",
-                         point.id, point.config,
-                         static_cast<unsigned long long>(
-                             legacy.stats.cycles),
-                         static_cast<unsigned long long>(
-                             event.stats.cycles));
-            return 1;
-        }
         rows.push_back(row);
     }
 
-    std::printf("# Event-scheduler speedup sweep (res=%d spp=%d)\n",
+    std::printf("# Event-scheduler throughput sweep (res=%d spp=%d)\n",
                 base.params.width, base.params.samplesPerPixel);
-    std::printf("%-10s %-8s %12s %14s %14s %9s %9s\n", "workload",
-                "config", "cycles", "legacy_sims/s", "event_sims/s",
-                "ev/leg", "ev/seed");
+    std::printf("%-10s %-8s %12s %14s %9s\n", "workload", "config",
+                "cycles", "event_sims/s", "ev/seed");
     for (const SchedRow &row : rows) {
-        double legacy_sps = simsPerSec(row.cycles, row.legacyWallMs);
         double event_sps = simsPerSec(row.cycles, row.eventWallMs);
-        std::printf("%-10s %-8s %12llu %14.0f %14.0f %8.2fx %8.2fx\n",
+        std::printf("%-10s %-8s %12llu %14.0f %8.2fx\n",
                     row.point.id, row.point.config,
                     static_cast<unsigned long long>(row.cycles),
-                    legacy_sps, event_sps,
-                    legacy_sps > 0 ? event_sps / legacy_sps : 0.0,
+                    event_sps,
                     row.point.seedSimsPerSec > 0
                         ? event_sps / row.point.seedSimsPerSec
                         : 0.0);
@@ -288,7 +265,6 @@ runSchedSweep(const std::string &json_path)
                  static_cast<double>(base.sceneDetail));
     for (size_t i = 0; i < rows.size(); i++) {
         const SchedRow &row = rows[i];
-        double legacy_sps = simsPerSec(row.cycles, row.legacyWallMs);
         double event_sps = simsPerSec(row.cycles, row.eventWallMs);
         std::fprintf(
             out,
@@ -296,14 +272,11 @@ runSchedSweep(const std::string &json_path)
             "\"cycles\": %llu,\n"
             "     \"event_sims_per_sec\": %.0f, "
             "\"event_wall_ms_per_frame\": %.1f,\n"
-            "     \"legacy_sims_per_sec\": %.0f, "
-            "\"legacy_wall_ms_per_frame\": %.1f,\n"
             "     \"seed_sims_per_sec\": %.0f, "
             "\"speedup_vs_seed\": %.2f}%s\n",
             row.point.id, row.point.config,
             static_cast<unsigned long long>(row.cycles), event_sps,
-            row.eventWallMs, legacy_sps, row.legacyWallMs,
-            row.point.seedSimsPerSec,
+            row.eventWallMs, row.point.seedSimsPerSec,
             row.point.seedSimsPerSec > 0
                 ? event_sps / row.point.seedSimsPerSec
                 : 0.0,

@@ -119,7 +119,7 @@ CampaignOptions
 CampaignOptions::fromEnv()
 {
     CampaignOptions options;
-    options.jobs = envutil::readInt("LUMI_JOBS", 0);
+    options.jobs = envutil::readInt("LUMI_JOBS", 0, 0);
     options.retries = envutil::readInt("LUMI_RETRIES", 1, 0);
     if (const char *dir = std::getenv("LUMI_CACHE_DIR"); dir && *dir)
         options.cacheDir = dir;
@@ -164,10 +164,11 @@ CampaignResult::registerStats(StatRegistry &registry) const
 int
 resolveWorkerCount(int requested, size_t job_count)
 {
-    int workers = requested > 0
-                      ? requested
-                      : static_cast<int>(
-                            std::thread::hardware_concurrency());
+    // 0 = auto; a negative request is junk and runs serially.
+    int workers = requested == 0
+                      ? static_cast<int>(
+                            std::thread::hardware_concurrency())
+                      : requested;
     if (workers < 1)
         workers = 1;
     if (job_count > 0 &&

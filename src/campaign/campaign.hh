@@ -198,8 +198,8 @@ struct CampaignResult
 };
 
 /**
- * Workers for @p requested (0 = hardware_concurrency), never more
- * than @p job_count and at least 1.
+ * Workers for @p requested (0 = hardware_concurrency, negative
+ * clamps to 1), never more than @p job_count and at least 1.
  */
 int resolveWorkerCount(int requested, size_t job_count);
 

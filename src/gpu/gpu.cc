@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "check/check.hh"
 #include "gpu/host_profile.hh"
@@ -32,11 +31,6 @@ Gpu::Gpu(const GpuConfig &config, uint64_t timeline_interval,
     rtDue_.assign(static_cast<size_t>(config_.numSms), 0);
     coreDirty_.assign(static_cast<size_t>(config_.numSms), 0);
     due_.reserve(queue_.components());
-    // Escape hatch for measured before/after comparisons (micro_sched)
-    // and loop-parity tests; deliberately not a GpuConfig knob so
-    // config fingerprints (and the result cache) are unaffected.
-    const char *legacy = std::getenv("LUMI_LEGACY_LOOP");
-    legacyLoop_ = legacy && *legacy && *legacy != '0';
 }
 
 TimelineSample
@@ -121,7 +115,7 @@ Gpu::reportDeadlock()
 }
 
 void
-Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
+Gpu::accountSpan(uint64_t next)
 {
     // Accumulate state-weighted statistics over (now, next]: no
     // component changes state in the skipped span.
@@ -138,7 +132,7 @@ Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
     // its stale lastOutcome() is never read.
     for (size_t i = 0; i < cores_.size(); i++) {
         uint64_t rest = dt;
-        IssueOutcome outcome = (!core_cycled || core_cycled[i])
+        IssueOutcome outcome = coreCycled_[i]
                                    ? cores_[i]->lastOutcome()
                                    : IssueOutcome::None;
         if (outcome == IssueOutcome::Issued) {
@@ -178,8 +172,6 @@ Gpu::accountSpan(uint64_t next, const uint8_t *core_cycled)
         }
         rtUnits_[i]->profileSpan(now_, next, profile_);
     }
-#else
-    (void)core_cycled;
 #endif
 
     int resident = 0;
@@ -321,7 +313,7 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         if (timed)
             profiler_->mark(HostProfiler::MemEvents);
 
-        accountSpan(next, coreCycled_.data());
+        accountSpan(next);
         if (timed)
             profiler_->mark(HostProfiler::Observe);
 
@@ -329,54 +321,6 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         std::fill(rtCycled_.begin(), rtCycled_.end(), 0);
         std::fill(rtDue_.begin(), rtDue_.end(), 0);
         first = false;
-    }
-}
-
-void
-Gpu::runLegacyLoop(const KernelLaunch &launch, uint32_t &next_warp)
-{
-    for (;;) {
-        if ((cycleBudget_ != 0 && now_ >= cycleBudget_) ||
-            (cancel_ &&
-             cancel_->load(std::memory_order_relaxed))) {
-            aborted_ = true;
-            break;
-        }
-        if (!anyBusy(next_warp, launch))
-            break;
-
-        bool timed = profiler_ && profiler_->beginIteration();
-
-        for (auto &core : cores_)
-            core->cycle(now_);
-        if (timed)
-            profiler_->mark(HostProfiler::SimtCores);
-        for (auto &rt : rtUnits_)
-            rt->cycle(now_);
-        if (timed)
-            profiler_->mark(HostProfiler::RtUnits);
-        fillSlots(launch, next_warp);
-        if (timed)
-            profiler_->mark(HostProfiler::FillSlots);
-
-        uint64_t next = UINT64_MAX;
-        for (auto &core : cores_)
-            next = std::min(next, core->nextEventCycle(now_));
-        for (auto &rt : rtUnits_)
-            next = std::min(next, rt->nextEventCycle(now_));
-        next = std::min(next, mem_->nextEventCycle(now_));
-        if (next == UINT64_MAX) {
-            // Work may have completed inside this very cycle.
-            if (anyBusy(next_warp, launch))
-                reportDeadlock();
-            break;
-        }
-        if (timed)
-            profiler_->mark(HostProfiler::MemEvents);
-
-        accountSpan(next, nullptr);
-        if (timed)
-            profiler_->mark(HostProfiler::Observe);
     }
 }
 
@@ -423,10 +367,7 @@ Gpu::run(const KernelLaunch &launch)
         sampler_->maybeSample(now_);
     fillSlots(launch, next_warp);
 
-    if (legacyLoop_)
-        runLegacyLoop(launch, next_warp);
-    else
-        runEventLoop(launch, next_warp);
+    runEventLoop(launch, next_warp);
 
     // Retire every in-flight fill so the MSHR conservation checks
     // and occupancy histograms cover the whole run.

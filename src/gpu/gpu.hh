@@ -183,24 +183,24 @@ class Gpu
                  const KernelLaunch &launch) const;
     /**
      * Close the landing span [now_, next): top-down cycle accounting
-     * (cores not in @p core_cycled provably produced IssueOutcome::
-     * None, so their stale outcome is not read), state-weighted
-     * residency statistics, then the landing bookkeeping (clock,
-     * timeline, interval sampler). @p core_cycled null means every
-     * core was cycled (the legacy polling loop).
+     * (cores not flagged in coreCycled_ provably produced
+     * IssueOutcome::None, so their stale outcome is not read),
+     * state-weighted residency statistics, then the landing
+     * bookkeeping (clock, timeline, interval sampler).
      */
-    void accountSpan(uint64_t next, const uint8_t *core_cycled);
+    void accountSpan(uint64_t next);
     /** Diagnose a busy-but-eventless state and mark the run
      *  deadlocked/aborted (reported as SimulationAborted upstream). */
     void reportDeadlock();
-    /** Event-driven cycle loop: pops due components off queue_. */
+    /**
+     * The cycle loop: pops the due components off queue_, cycles
+     * them, re-registers every component whose state may have
+     * changed, and jumps the clock to the next registered event.
+     * Golden cycle pins recorded from the earlier polling loop anchor
+     * its landing cycles.
+     */
     void runEventLoop(const KernelLaunch &launch,
                       uint32_t &next_warp);
-    /** The pre-event-queue cycle-the-world loop, kept runnable
-     *  (LUMI_LEGACY_LOOP=1) as the measured before in micro_sched
-     *  and as a parity oracle in tests. */
-    void runLegacyLoop(const KernelLaunch &launch,
-                       uint32_t &next_warp);
 
     GpuConfig config_;
     AddressSpace space_;
@@ -236,8 +236,6 @@ class Gpu
     HostProfiler *profiler_ = nullptr;
     bool aborted_ = false;
     bool deadlocked_ = false;
-    /** LUMI_LEGACY_LOOP=1: run the polling loop instead. */
-    bool legacyLoop_ = false;
 };
 
 } // namespace lumi

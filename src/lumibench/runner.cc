@@ -4,6 +4,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 
 #include "check/check.hh"
@@ -133,6 +134,67 @@ throwAborted(const std::string &id, const Gpu &gpu,
     throw SimulationAborted(buf, cancelled, gpu.now());
 }
 
+/**
+ * The one run path behind runWorkload and runCompute: build the
+ * tracer and GPU from @p options (cycle budget, cancel flag, DRAM
+ * scale, observers), let @p launch build and simulate the job on the
+ * GPU, then collect the result. @p context carries the scene, shader
+ * and acceleration-structure stats of a ray-tracing job (filled in by
+ * @p launch) and is null for a compute kernel.
+ */
+WorkloadResult
+simulateJob(const std::string &id, const RunOptions &options,
+            PhaseProfiler &profiler, const WorkloadContext *context,
+            const std::function<void(Gpu &)> &launch)
+{
+    auto tracer = std::make_shared<Tracer>(options.traceCapacity);
+    tracer->setMask(options.traceMask);
+    Gpu gpu(options.config, options.timelineInterval, tracer.get());
+    gpu.setCycleBudget(options.maxCycles);
+    gpu.setCancelFlag(options.cancelFlag);
+    if (options.dramBandwidthScale != 1.0) {
+        gpu.memSystem().dram().setBandwidthScale(
+            options.dramBandwidthScale);
+    }
+    Observers observers(gpu, options);
+    launch(gpu);
+    if (gpu.aborted())
+        throwAborted(id, gpu, options);
+
+    WorkloadResult result;
+    {
+        PhaseProfiler::Scoped phase(profiler, "analysis");
+        result.id = id;
+        result.stats = gpu.stats();
+        result.profileSm = gpu.profile().smTotal();
+        result.profileRt = gpu.profile().rtTotal();
+        result.dram = gpu.memSystem().dram().stats();
+        result.l1Rt = gpu.memSystem().l1Rt();
+        result.l1Shader = gpu.memSystem().l1Shader();
+        result.l2Rt = gpu.memSystem().l2Rt();
+        result.l2Shader = gpu.memSystem().l2Shader();
+        for (int k = 0; k < numDataKinds; k++) {
+            result.kindReads[k] = gpu.memSystem().kindReads()[k];
+            result.kindMisses[k] = gpu.memSystem().kindMisses()[k];
+        }
+        if (context)
+            result.accelStats = *context->accelStats;
+        result.rtUnits = options.config.numSms *
+                         options.config.rtUnitsPerSm;
+        result.metrics = collectMetrics(gpu, context);
+        result.metrics.workload = result.id;
+        result.timeline = gpu.timeline().windows(result.rtUnits);
+        result.analytical = evaluateHongKim(gpu);
+        result.statsJson = dumpStats(
+            gpu, context ? &result.accelStats : nullptr, tracer.get());
+        observers.collect(result);
+    }
+    if (options.traceMask != 0)
+        result.trace = tracer;
+    result.phases = profiler.timings();
+    return result;
+}
+
 } // namespace
 
 RunOptions
@@ -149,9 +211,6 @@ RunOptions::fromEnv()
                                              quick ? 1 : 2);
     options.sceneDetail = static_cast<float>(
         readDouble("LUMI_DETAIL", quick ? 0.25 : 2.0));
-    // 0 = auto (hardware_concurrency); like LUMI_RES/LUMI_SPP, a
-    // malformed value warns and falls back.
-    options.jobs = readInt("LUMI_JOBS", 0);
     if (const char *trace = std::getenv("LUMI_TRACE");
         trace && *trace) {
         options.traceMask = parseTraceCategories(trace);
@@ -225,127 +284,50 @@ runWorkload(const Workload &workload, const RunOptions &options)
                                   options.sceneDetail);
     }();
 
-    auto tracer = std::make_shared<Tracer>(options.traceCapacity);
-    tracer->setMask(options.traceMask);
-    Gpu gpu(options.config, options.timelineInterval, tracer.get());
-    gpu.setCycleBudget(options.maxCycles);
-    gpu.setCancelFlag(options.cancelFlag);
-    if (options.dramBandwidthScale != 1.0) {
-        gpu.memSystem().dram().setBandwidthScale(
-            options.dramBandwidthScale);
-    }
-    Observers observers(gpu, options);
-
-    // The pipeline constructor builds the BLASes/TLAS and lays the
-    // scene out in GPU memory; time it as the BVH-build phase.
-    std::optional<RayTracingPipeline> pipeline;
-    std::optional<rtq::RtqPipeline> rtqPipeline;
-    {
-        PhaseProfiler::Scoped phase(profiler, "bvh_build");
-        if (query)
-            rtqPipeline.emplace(gpu, scene, options.params);
-        else
-            pipeline.emplace(gpu, scene, options.params);
-    }
-    {
-        PhaseProfiler::Scoped phase(profiler, "simulate");
-        if (query)
-            rtqPipeline->run(workload.shader);
-        else
-            pipeline->render(workload.shader);
-    }
-    if (gpu.aborted())
-        throwAborted(workload.id(), gpu, options);
-
-    WorkloadResult result;
-    {
-        PhaseProfiler::Scoped phase(profiler, "analysis");
-        result.id = workload.id();
-        result.stats = gpu.stats();
-        result.profileSm = gpu.profile().smTotal();
-        result.profileRt = gpu.profile().rtTotal();
-        result.dram = gpu.memSystem().dram().stats();
-        result.l1Rt = gpu.memSystem().l1Rt();
-        result.l1Shader = gpu.memSystem().l1Shader();
-        result.l2Rt = gpu.memSystem().l2Rt();
-        result.l2Shader = gpu.memSystem().l2Shader();
-        for (int k = 0; k < numDataKinds; k++) {
-            result.kindReads[k] = gpu.memSystem().kindReads()[k];
-            result.kindMisses[k] = gpu.memSystem().kindMisses()[k];
-        }
-        result.accelStats = query
-                                ? rtqPipeline->accel().computeStats()
-                                : pipeline->accel().computeStats();
-        result.rtUnits = options.config.numSms *
-                         options.config.rtUnitsPerSm;
-
-        WorkloadContext context;
-        context.scene = &scene;
-        context.accelStats = &result.accelStats;
-        context.shader = workload.shader;
-        context.params = options.params;
-        result.metrics = collectMetrics(gpu, &context);
-        result.metrics.workload = result.id;
-        result.timeline = gpu.timeline().windows(result.rtUnits);
-        result.analytical = evaluateHongKim(gpu);
-        result.statsJson = dumpStats(gpu, &result.accelStats,
-                                     tracer.get());
-        observers.collect(result);
-    }
-    if (options.traceMask != 0)
-        result.trace = tracer;
-    result.phases = profiler.timings();
-    return result;
+    AccelStats accel;
+    WorkloadContext context;
+    context.scene = &scene;
+    context.accelStats = &accel;
+    context.shader = workload.shader;
+    context.params = options.params;
+    return simulateJob(
+        workload.id(), options, profiler, &context, [&](Gpu &gpu) {
+            // The pipeline constructor builds the BLASes/TLAS and
+            // lays the scene out in GPU memory; time it as the
+            // BVH-build phase.
+            std::optional<RayTracingPipeline> pipeline;
+            std::optional<rtq::RtqPipeline> rtqPipeline;
+            {
+                PhaseProfiler::Scoped phase(profiler, "bvh_build");
+                if (query)
+                    rtqPipeline.emplace(gpu, scene, options.params);
+                else
+                    pipeline.emplace(gpu, scene, options.params);
+            }
+            PhaseProfiler::Scoped phase(profiler, "simulate");
+            if (query)
+                rtqPipeline->run(workload.shader);
+            else
+                pipeline->render(workload.shader);
+            // Take the BVH stats now: the pipeline owning it dies
+            // with this scope.
+            accel = query ? rtqPipeline->accel().computeStats()
+                          : pipeline->accel().computeStats();
+        });
 }
 
 WorkloadResult
 runCompute(ComputeKernel kernel, const RunOptions &options)
 {
     PhaseProfiler profiler;
-    auto tracer = std::make_shared<Tracer>(options.traceCapacity);
-    tracer->setMask(options.traceMask);
-    Gpu gpu(options.config, options.timelineInterval, tracer.get());
-    gpu.setCycleBudget(options.maxCycles);
-    gpu.setCancelFlag(options.cancelFlag);
-    Observers observers(gpu, options);
-    ComputeParams params;
-    params.scale = 1;
-    {
-        PhaseProfiler::Scoped phase(profiler, "simulate");
-        runComputeKernel(gpu, kernel, params);
-    }
-    if (gpu.aborted())
-        throwAborted(computeKernelName(kernel), gpu, options);
-
-    WorkloadResult result;
-    {
-        PhaseProfiler::Scoped phase(profiler, "analysis");
-        result.id = computeKernelName(kernel);
-        result.stats = gpu.stats();
-        result.profileSm = gpu.profile().smTotal();
-        result.profileRt = gpu.profile().rtTotal();
-        result.dram = gpu.memSystem().dram().stats();
-        result.l1Rt = gpu.memSystem().l1Rt();
-        result.l1Shader = gpu.memSystem().l1Shader();
-        result.l2Rt = gpu.memSystem().l2Rt();
-        result.l2Shader = gpu.memSystem().l2Shader();
-        for (int k = 0; k < numDataKinds; k++) {
-            result.kindReads[k] = gpu.memSystem().kindReads()[k];
-            result.kindMisses[k] = gpu.memSystem().kindMisses()[k];
-        }
-        result.rtUnits = options.config.numSms *
-                         options.config.rtUnitsPerSm;
-        result.metrics = collectMetrics(gpu, nullptr);
-        result.metrics.workload = result.id;
-        result.timeline = gpu.timeline().windows(result.rtUnits);
-        result.analytical = evaluateHongKim(gpu);
-        result.statsJson = dumpStats(gpu, nullptr, tracer.get());
-        observers.collect(result);
-    }
-    if (options.traceMask != 0)
-        result.trace = tracer;
-    result.phases = profiler.timings();
-    return result;
+    return simulateJob(
+        computeKernelName(kernel), options, profiler, nullptr,
+        [&](Gpu &gpu) {
+            ComputeParams params;
+            params.scale = 1;
+            PhaseProfiler::Scoped phase(profiler, "simulate");
+            runComputeKernel(gpu, kernel, params);
+        });
 }
 
 } // namespace lumi

@@ -78,12 +78,6 @@ struct RunOptions
      */
     bool selfProfile = false;
     /**
-     * Campaign worker count for sweeps going through bench::runAll
-     * or the campaign engine; 0 = hardware_concurrency. Ignored by
-     * single-workload runWorkload/runCompute calls.
-     */
-    int jobs = 0;
-    /**
      * Soft simulated-cycle budget per run; 0 = unlimited. When the
      * clock reaches it, runWorkload/runCompute throw
      * SimulationAborted instead of returning a partial result.
@@ -99,8 +93,7 @@ struct RunOptions
     /**
      * Bench defaults honoring the environment: LUMI_RES (image edge,
      * default 64), LUMI_SPP, LUMI_DETAIL, LUMI_QUICK=1 for smoke
-     * runs (32x32, low detail), LUMI_JOBS (sweep worker count, 0 =
-     * hardware_concurrency), and LUMI_TRACE (category list, e.g.
+     * runs (32x32, low detail), and LUMI_TRACE (category list, e.g.
      * "sm,rt" or "all") for the event tracer, plus
      * LUMI_INTERVAL_STATS (sampling period, cycles) and
      * LUMI_SELF_PROFILE=1. Malformed values fall back to the

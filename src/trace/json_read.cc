@@ -128,10 +128,14 @@ class Parser
         bool ok = false;
         switch (c) {
           case '{':
-            ok = parseObject(out);
-            break;
           case '[':
-            ok = parseArray(out);
+            // Containers recurse: bound the depth so hostile input
+            // fails cleanly instead of overflowing the stack.
+            if (depth_ >= maxDepth)
+                return fail("nesting too deep");
+            depth_++;
+            ok = c == '{' ? parseObject(out) : parseArray(out);
+            depth_--;
             break;
           case '"':
             out.kind = JsonValue::Kind::String;
@@ -328,9 +332,13 @@ class Parser
         }
     }
 
+    /** Far deeper than any document the writers emit. */
+    static constexpr int maxDepth = 256;
+
     const std::string &text_;
     std::string *error_;
     size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 } // namespace

@@ -81,7 +81,7 @@ struct JsonValue
  * Parse @p text into @p out. On failure returns false and, when
  * @p error is non-null, stores a one-line "offset N: reason"
  * description. Trailing whitespace is allowed; trailing garbage is
- * an error.
+ * an error, and so is nesting arrays/objects more than 256 deep.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string *error = nullptr);

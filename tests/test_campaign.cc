@@ -312,16 +312,19 @@ TEST(Campaign, ResolveWorkerCount)
 TEST(Campaign, FromEnvParsesJobsWithFallback)
 {
     ::setenv("LUMI_JOBS", "7", 1);
-    EXPECT_EQ(RunOptions::fromEnv().jobs, 7);
     EXPECT_EQ(CampaignOptions::fromEnv().jobs, 7);
+
+    // 0 is the documented "auto", not a malformed value: no warning.
+    ::setenv("LUMI_JOBS", "0", 1);
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(CampaignOptions::fromEnv().jobs, 0);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 
     // Malformed values warn and fall back, like LUMI_RES/LUMI_SPP.
     ::setenv("LUMI_JOBS", "banana", 1);
-    EXPECT_EQ(RunOptions::fromEnv().jobs, 0);
     EXPECT_EQ(CampaignOptions::fromEnv().jobs, 0);
 
     ::unsetenv("LUMI_JOBS");
-    EXPECT_EQ(RunOptions::fromEnv().jobs, 0);
 
     ::setenv("LUMI_RETRIES", "3", 1);
     EXPECT_EQ(CampaignOptions::fromEnv().retries, 3);

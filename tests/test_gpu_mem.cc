@@ -590,7 +590,10 @@ TEST(GoldenParity, RtqQueryPins)
         EXPECT_EQ(r.stats.instructions, 444u) << pin.config.name;
         EXPECT_EQ(r.stats.raysTraced, 256u) << pin.config.name;
         EXPECT_EQ(r.l1Rt.reads, 2749u) << pin.config.name;
+        EXPECT_EQ(r.l1Rt.hits, 805u) << pin.config.name;
         EXPECT_EQ(r.l1Rt.misses, 96u) << pin.config.name;
+        EXPECT_EQ(r.l1Shader.reads, 142u) << pin.config.name;
+        EXPECT_EQ(r.l2Rt.misses, 64u) << pin.config.name;
         EXPECT_EQ(r.dram.accesses, 181u) << pin.config.name;
     }
 }
@@ -632,35 +635,6 @@ TEST(GoldenParity, DynamicScenePins)
         EXPECT_EQ(gpu.memSystem().dram().stats().accesses, 337u)
             << pin.config.name;
     }
-}
-
-TEST(GoldenParity, LegacyLoopMatchesEventLoop)
-{
-    // The retained polling loop (LUMI_LEGACY_LOOP=1) and the event
-    // scheduler must agree to the cycle. The pins above anchor the
-    // event loop to the seed; this anchors the two loops to each
-    // other on a finite-resource run, where the due-set computation
-    // actually skips components and a registration bug would move
-    // the landing cycles.
-    RunOptions options;
-    options.params.width = 16;
-    options.params.height = 16;
-    options.config = GpuConfig::table4();
-    const Workload workload{SceneId::AMR,
-                            ShaderKind::PointContainment};
-    WorkloadResult event = runWorkload(workload, options);
-    setenv("LUMI_LEGACY_LOOP", "1", 1);
-    WorkloadResult legacy = runWorkload(workload, options);
-    unsetenv("LUMI_LEGACY_LOOP");
-    EXPECT_EQ(legacy.stats.cycles, event.stats.cycles);
-    EXPECT_EQ(legacy.stats.instructions, event.stats.instructions);
-    EXPECT_EQ(legacy.stats.raysTraced, event.stats.raysTraced);
-    EXPECT_EQ(legacy.l1Rt.reads, event.l1Rt.reads);
-    EXPECT_EQ(legacy.l1Rt.hits, event.l1Rt.hits);
-    EXPECT_EQ(legacy.l1Rt.misses, event.l1Rt.misses);
-    EXPECT_EQ(legacy.l1Shader.reads, event.l1Shader.reads);
-    EXPECT_EQ(legacy.l2Rt.misses, event.l2Rt.misses);
-    EXPECT_EQ(legacy.dram.accesses, event.dram.accesses);
 }
 
 } // namespace

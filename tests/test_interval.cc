@@ -3,8 +3,9 @@
  * Interval-sampler tests: the grid-sampling mechanics, the canonical
  * JSON round trip (constant-series compaction included), the
  * observer-effect-zero contract (sampling changes nothing about the
- * simulation), run-to-run determinism of the series, and the result
- * cache carrying the series byte-identically.
+ * simulation), run-to-run determinism of the series, the result
+ * cache carrying the series byte-identically, and the JSON reader's
+ * nesting bound.
  */
 
 #include <gtest/gtest.h>
@@ -149,6 +150,40 @@ TEST(IntervalSeries, FromJsonRejectsMalformedDocuments)
     // Missing cycles array entirely.
     EXPECT_FALSE(parseSeries(
         "{\"interval\":10,\"series\":{},\"constant\":{}}"));
+}
+
+TEST(JsonRead, RejectsNestingTooDeep)
+{
+    // The parser recurses per container; hostile depth must fail
+    // cleanly with an error, not overflow the stack.
+    const size_t depth = 200000;
+    for (const std::string &open : {std::string("["),
+                                     std::string("{\"k\":")}) {
+        std::string text;
+        for (size_t i = 0; i < depth; i++)
+            text += open;
+        JsonValue doc;
+        std::string error;
+        EXPECT_FALSE(parseJson(text, doc, &error)) << open;
+        EXPECT_NE(error.find("nesting too deep"), std::string::npos)
+            << error;
+        EXPECT_EQ(error.rfind("offset ", 0), 0u) << error;
+    }
+
+    // Moderate depth still parses, and so does a real run report
+    // (stat dump, metrics, timeline and interval series).
+    std::string nested(64, '[');
+    nested += std::string(64, ']');
+    JsonValue doc;
+    EXPECT_TRUE(parseJson(nested, doc));
+
+    RunOptions options = quickOptions();
+    options.intervalStats = 500;
+    WorkloadResult result = runWorkload(quickWorkload(), options);
+    std::string error;
+    EXPECT_TRUE(parseJson(runReportJson({result}, options), doc,
+                          &error))
+        << error;
 }
 
 TEST(Interval, SamplingHasZeroObserverEffect)

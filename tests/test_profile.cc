@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <unistd.h>
 
@@ -121,6 +122,14 @@ struct ConservationPoint
     SceneId scene;
     ShaderKind shader;
 };
+
+// Print the tag, not the raw bytes: those hold the tag's address,
+// which ASLR moves on every run, so discovered test names would drift.
+void
+PrintTo(const ConservationPoint &point, std::ostream *os)
+{
+    *os << point.tag;
+}
 
 class ProfileConservation
     : public ::testing::TestWithParam<ConservationPoint>

@@ -139,6 +139,12 @@ TEST(Runner, DramBandwidthScaleTakesEffect)
     // Throttled DRAM can only slow things down (or leave them equal
     // for latency-bound workloads -- the Sec. 5.3.2 observation).
     EXPECT_GE(slow.stats.cycles, fast.stats.cycles);
+
+    // Compute kernels take the same run path, so the scale reaches
+    // their DRAM too; nn is bandwidth-bound enough to slow down.
+    WorkloadResult nn_fast = runCompute(ComputeKernel::Nn, base);
+    WorkloadResult nn_slow = runCompute(ComputeKernel::Nn, throttled);
+    EXPECT_GT(nn_slow.stats.cycles, nn_fast.stats.cycles);
 }
 
 TEST(Report, TextTableAlignsColumns)
