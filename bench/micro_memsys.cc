@@ -11,7 +11,13 @@
  *    config while shrinking the L1 MSHR file (64/16/4/1), printing
  *    IPC and mem.mshr_full_stalls per point. Finite MSHRs must cost
  *    performance monotonically; CI asserts exactly that on this
- *    output.
+ *    output;
+ *  - an interconnect sweep over the full Table 4 config with the
+ *    SM<->L2 link narrowed from 8 to 4/2/1 flits per cycle, printing
+ *    cycles, IPC, flits per cycle and wait cycles per flit. Its rows
+ *    start with "icnt" and have six columns, so the five-column MSHR
+ *    parser skips them; CI asserts the link never carries more than
+ *    its width and that IPC does not rise (beyond 2%) as it narrows.
  *
  * Flags: --sweep-only runs just the sweep (what CI uses),
  * --no-sweep runs just the microbenchmarks. Sweep points go through
@@ -197,6 +203,46 @@ runMshrSweep()
     return 0;
 }
 
+/**
+ * The interconnect sweep: BUNNY_AO on the full Table 4 config (MSHRs
+ * and ports finite too) at link widths 8/4/2/1 flits per cycle.
+ */
+void
+runIcntSweep()
+{
+    const uint32_t width_points[] = {8, 4, 2, 1};
+    const Workload workload{SceneId::BUNNY,
+                            ShaderKind::AmbientOcclusion};
+
+    std::vector<campaign::Job> jobs;
+    for (uint32_t width : width_points) {
+        RunOptions options = RunOptions::fromEnv();
+        options.config = GpuConfig::table4();
+        options.config.icntFlitsPerCycle = width;
+        jobs.push_back(campaign::Job::rayTracing(workload, options));
+    }
+    std::vector<WorkloadResult> results = bench::runJobs(jobs);
+    auto ratio = [](uint64_t num, uint64_t den) {
+        return den > 0 ? static_cast<double>(num) / den : 0.0;
+    };
+
+    std::printf("# Interconnect sweep (BUNNY_AO, Table 4 memory "
+                "system, link width in flits per cycle)\n");
+    std::printf("%-4s %6s %12s %8s %16s %14s\n", "icnt", "width",
+                "cycles", "ipc", "flits_per_cycle", "wait_per_flit");
+    for (size_t i = 0; i < results.size(); i++) {
+        const WorkloadResult &result = results[i];
+        uint64_t cycles = result.stats.cycles;
+        uint64_t flits = statCounter(result, "mem.icnt_flits");
+        uint64_t wait = statCounter(result, "mem.icnt_wait_cycles");
+        std::printf("%-4s %6u %12llu %8.4f %16.4f %14.2f\n", "icnt",
+                    jobs[i].options.config.icntFlitsPerCycle,
+                    static_cast<unsigned long long>(cycles),
+                    ratio(result.stats.instructions, cycles),
+                    ratio(flits, cycles), ratio(wait, flits));
+    }
+}
+
 } // namespace
 
 int
@@ -218,6 +264,8 @@ main(int argc, char **argv)
 
     if (!no_sweep) {
         int rc = runMshrSweep();
+        if (rc == 0)
+            runIcntSweep();
         if (rc != 0 || sweep_only)
             return rc;
     }

@@ -154,6 +154,7 @@ cacheKey(const Job &job)
 {
     const RunOptions &options = job.options;
     ParamHash hash;
+    hash.mix(kTimingModelRevision);
     hash.mix(options.params.width);
     hash.mix(options.params.height);
     hash.mix(options.params.samplesPerPixel);
@@ -191,6 +192,10 @@ readCachedResult(const std::string &path, const Job &job,
     if (!parseJson(text, doc) || !doc.isObject())
         return false;
     if (doc.str("schema") != kRunReportSchema)
+        return false;
+    // An entry from another timing-model revision (or from before
+    // reports recorded one) holds stale simulated results.
+    if (doc.num("timing_model") != kTimingModelRevision)
         return false;
 
     // Validate the simulation point against the job, not the

@@ -125,8 +125,9 @@ CampaignOptions::fromEnv()
         options.cacheDir = dir;
     if (const char *log = std::getenv("LUMI_EVENT_LOG"); log && *log)
         options.eventLogPath = log;
+    // 0 (the default) turns the heartbeat off.
     options.heartbeatSeconds =
-        envutil::readDouble("LUMI_HEARTBEAT", 0.0);
+        envutil::readDouble("LUMI_HEARTBEAT", 0.0, 0.0, true);
     return options;
 }
 

@@ -10,7 +10,8 @@ namespace lumi
 
 MemSystem::MemSystem(const GpuConfig &config, const AddressSpace &space,
                      Tracer *tracer)
-    : config_(config), space_(space), tracer_(tracer)
+    : config_(config), space_(space), tracer_(tracer),
+      icnt_(config.icntFlitsPerCycle)
 {
     for (int sm = 0; sm < config.numSms; sm++) {
         l1s_.push_back(std::make_unique<Cache>(config.l1SizeBytes,
@@ -238,19 +239,14 @@ MemSystem::nextEventCycle(uint64_t now) const
 }
 
 uint64_t
-MemSystem::icntTransfer(uint64_t cycle, uint32_t flits)
+MemSystem::icntTransfer(uint64_t now, uint64_t cycle, uint32_t flits)
 {
-    uint64_t width = config_.icntFlitsPerCycle;
-    if (width == 0)
+    if (config_.icntFlitsPerCycle == 0)
         return cycle;
-    uint64_t earliest = cycle * width;
-    uint64_t start = std::max(icntFreeSlot_, earliest);
-    icntFreeSlot_ = start + flits;
+    CapacityCalendar::Span span = icnt_.reserve(now, cycle, flits);
     memStats_.icntFlits += flits;
-    uint64_t start_cycle = start / width;
-    if (start_cycle > cycle)
-        memStats_.icntWaitCycles += start_cycle - cycle;
-    return (start + flits - 1) / width;
+    memStats_.icntWaitCycles += span.first - cycle;
+    return span.last;
 }
 
 uint64_t
@@ -357,7 +353,7 @@ MemSystem::readLine(int sm, uint64_t cycle, uint64_t line_addr,
 
     // Miss: the request flit crosses the interconnect to the L2
     // after the L1 lookup latency.
-    uint64_t l2_at = icntTransfer(cycle + config_.l1Latency, 1);
+    uint64_t l2_at = icntTransfer(cycle, cycle + config_.l1Latency, 1);
     RequesterStats &l2_stats = rt ? l2Rt_ : l2Shader_;
     l2_stats.reads++;
     CacheProbe l2_probe = l2_->probe(line_addr, l2_at);
@@ -398,7 +394,7 @@ MemSystem::readLine(int sm, uint64_t cycle, uint64_t line_addr,
     uint32_t flit_bytes = std::max(config_.icntFlitBytes, 1u);
     uint32_t fill_flits = std::max(
         config_.l1LineBytes / flit_bytes, 1u);
-    uint64_t ready = icntTransfer(l2_data, fill_flits);
+    uint64_t ready = icntTransfer(cycle, l2_data, fill_flits);
     l1.fill(line_addr, cycle, ready);
     allocMshr(0, sm, line_addr, cycle, ready, rt);
     return ready;
@@ -513,7 +509,8 @@ MemSystem::writeLine(int sm, uint64_t cycle, uint64_t line_addr)
         l1s_[sm]->fill(line_addr, cycle, cycle);
     uint32_t flit_bytes = std::max(config_.icntFlitBytes, 1u);
     uint32_t flits = std::max(config_.l1LineBytes / flit_bytes, 1u);
-    uint64_t l2_at = icntTransfer(cycle + config_.l1Latency, flits);
+    uint64_t l2_at = icntTransfer(cycle, cycle + config_.l1Latency,
+                                 flits);
     if (!l2_->writeProbe(line_addr, l2_at)) {
         if (allocate) {
             l2_->fill(line_addr, l2_at, l2_at + config_.l2Latency);

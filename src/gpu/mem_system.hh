@@ -33,6 +33,7 @@
 
 #include "gpu/address_space.hh"
 #include "gpu/cache.hh"
+#include "gpu/capacity_calendar.hh"
 #include "gpu/config.hh"
 #include "gpu/dram.hh"
 #include "gpu/flat_map.hh"
@@ -172,10 +173,11 @@ class MemSystem
 
     /**
      * Reserve @p flits on the SM<->L2 link no earlier than
-     * @p cycle; returns the cycle the last flit has crossed.
+     * @p cycle, for an access issued at @p now; returns the cycle the
+     * last flit has crossed (earliest fit, see CapacityCalendar).
      * Unlimited bandwidth returns @p cycle unchanged.
      */
-    uint64_t icntTransfer(uint64_t cycle, uint32_t flits);
+    uint64_t icntTransfer(uint64_t now, uint64_t cycle, uint32_t flits);
 
     /**
      * Earliest cycle >= @p at with a free L2 MSHR entry; accounts
@@ -238,9 +240,9 @@ class MemSystem
     int l1LineShift_ = -1;
     uint64_t lastPortConflictCycle_ = UINT64_MAX;
 
-    /** Next free SM<->L2 link slot, in flit-slot units
-     *  (cycle * icntFlitsPerCycle). */
-    uint64_t icntFreeSlot_ = 0;
+    /** SM<->L2 link reservations (unused when the link is
+     *  unlimited). */
+    CapacityCalendar icnt_;
 
     /** Time up to which the occupancy histogram is accumulated. */
     uint64_t occupancyMark_ = 0;

@@ -90,6 +90,8 @@ runReportJson(const std::vector<WorkloadResult> &results,
     json.beginObject();
     json.key("schema");
     json.value(kRunReportSchema);
+    json.key("timing_model");
+    json.value(kTimingModelRevision);
 
     json.key("config");
     json.beginObject();

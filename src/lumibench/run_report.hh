@@ -27,6 +27,15 @@ inline constexpr const char *kRunReportSchema =
     "lumibench-run-report-v1";
 
 /**
+ * Revision of the timing model. Bumped whenever a model change moves
+ * simulated results for an unchanged config and options (2: the
+ * interconnect became a per-cycle capacity calendar). Every report
+ * records it, the result cache mixes it into its key and treats an
+ * entry of another revision as a miss, and serve /version reports it.
+ */
+inline constexpr int kTimingModelRevision = 2;
+
+/**
  * Name of the config-fingerprint scheme (see configFingerprint).
  * Bumped whenever the hashed field set or digest changes, so
  * dashboards can detect mixed-version cache directories via the

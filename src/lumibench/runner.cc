@@ -40,7 +40,8 @@ readInt(const char *name, int fallback, int min)
 }
 
 double
-readDouble(const char *name, double fallback)
+readDouble(const char *name, double fallback, double min,
+           bool allowMin)
 {
     const char *value = std::getenv(name);
     if (!value || !*value)
@@ -49,11 +50,12 @@ readDouble(const char *name, double fallback)
     char *end = nullptr;
     double parsed = std::strtod(value, &end);
     if (end == value || *end != '\0' || errno == ERANGE ||
-        !(parsed > 0.0)) {
+        !(allowMin ? parsed >= min : parsed > min)) {
         std::fprintf(stderr,
-                     "lumi: ignoring %s='%s' (want a number > 0); "
+                     "lumi: ignoring %s='%s' (want a number %s %g); "
                      "using %g\n",
-                     name, value, fallback);
+                     name, value, allowMin ? ">=" : ">", min,
+                     fallback);
         return fallback;
     }
     return parsed;

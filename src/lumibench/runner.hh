@@ -38,8 +38,13 @@ namespace envutil
  */
 int readInt(const char *name, int fallback, int min = 1);
 
-/** Strict env-double parse; must be finite and > 0. */
-double readDouble(const char *name, double fallback);
+/**
+ * Strict env-double parse: the whole value must be a number above
+ * @p min (or equal to it when @p allowMin), otherwise warn on stderr
+ * and use @p fallback.
+ */
+double readDouble(const char *name, double fallback, double min = 0.0,
+                  bool allowMin = false);
 
 } // namespace envutil
 

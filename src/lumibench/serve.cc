@@ -287,6 +287,8 @@ ReportServer::handle(const std::string &target) const
         json.value(kRunReportSchema);
         json.key("fingerprint_scheme");
         json.value(kConfigFingerprintScheme);
+        json.key("timing_model");
+        json.value(kTimingModelRevision);
         json.endObject();
         return {200, "application/json", json.str()};
     }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,6 +23,7 @@
 #include "campaign/cache.hh"
 #include "campaign/campaign.hh"
 #include "campaign/telemetry.hh"
+#include "lumibench/run_report.hh"
 #include "lumibench/runner.hh"
 #include "lumibench/workload.hh"
 #include "trace/stat_registry.hh"
@@ -301,6 +303,45 @@ TEST(Campaign, CacheKeyCoversRenderParams)
     EXPECT_FALSE(cacheable(traced));
 }
 
+TEST(Campaign, OtherTimingModelRevisionIsCacheMiss)
+{
+    // A warm cache written by an older timing model must not
+    // rehydrate its stale stats: the revision is part of the key, and
+    // an entry under this job's key that records another revision
+    // (or none, as reports did before they carried one) is a miss.
+    RunOptions options = quickOptions();
+    Job job = Job::compute(ComputeKernel::Nn, options);
+
+    std::string dir = freshDir("revision");
+    std::filesystem::create_directories(dir);
+    std::string path = dir + "/" + cacheKey(job);
+    WorkloadResult cold = runCompute(ComputeKernel::Nn, options);
+    ASSERT_TRUE(writeCachedResult(path, job, cold));
+    WorkloadResult warm;
+    ASSERT_TRUE(readCachedResult(path, job, warm));
+
+    std::ifstream in(path);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    std::string current = "\"timing_model\":" +
+                          std::to_string(kTimingModelRevision) + ",";
+    size_t at = text.find(current);
+    ASSERT_NE(at, std::string::npos);
+    auto rewrite = [&](const std::string &field) {
+        std::string edited = text;
+        edited.replace(at, current.size(), field);
+        std::ofstream(path, std::ios::trunc) << edited;
+        WorkloadResult stale;
+        return readCachedResult(path, job, stale);
+    };
+    EXPECT_FALSE(rewrite("\"timing_model\":" +
+                         std::to_string(kTimingModelRevision - 1) +
+                         ","));
+    EXPECT_FALSE(rewrite(""));
+    EXPECT_TRUE(rewrite(current));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(Campaign, ResolveWorkerCount)
 {
     EXPECT_EQ(resolveWorkerCount(4, 100), 4);
@@ -407,6 +448,22 @@ TEST(Campaign, FromEnvReadsTelemetryKnobs)
     CampaignOptions defaults = CampaignOptions::fromEnv();
     EXPECT_TRUE(defaults.eventLogPath.empty());
     EXPECT_DOUBLE_EQ(defaults.heartbeatSeconds, 0.0);
+
+    // "0" is the documented off value: accepted without a warning.
+    ::setenv("LUMI_HEARTBEAT", "0", 1);
+    testing::internal::CaptureStderr();
+    CampaignOptions off = CampaignOptions::fromEnv();
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_DOUBLE_EQ(off.heartbeatSeconds, 0.0);
+    // A negative period is still rejected, with a warning.
+    ::setenv("LUMI_HEARTBEAT", "-1", 1);
+    testing::internal::CaptureStderr();
+    CampaignOptions negative = CampaignOptions::fromEnv();
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "LUMI_HEARTBEAT"),
+              std::string::npos);
+    EXPECT_DOUBLE_EQ(negative.heartbeatSeconds, 0.0);
+    ::unsetenv("LUMI_HEARTBEAT");
 }
 
 TEST(Campaign, HeartbeatStandaloneLifecycle)

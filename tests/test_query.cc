@@ -414,6 +414,9 @@ TEST(Serve, VersionBreakdownAndViewRoutes)
               std::string::npos);
     EXPECT_NE(version.body.find(kConfigFingerprintScheme),
               std::string::npos);
+    EXPECT_NE(version.body.find("\"timing_model\":" +
+                                std::to_string(kTimingModelRevision)),
+              std::string::npos);
 
     query::ReportServer::Response breakdown = server.handle(
         "/breakdown?workload=BUNNY_AO");
