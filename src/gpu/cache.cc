@@ -1,9 +1,27 @@
 #include "gpu/cache.hh"
 
+#include <stdexcept>
+
 #include "check/check.hh"
 
 namespace lumi
 {
+
+namespace
+{
+
+/** Tournament match between ways @p a and @p b of one set: the
+ *  lower key wins, the left (lower) way on ties; ways at or past
+ *  @p ways are padding and carry +inf. */
+inline uint16_t
+winner(const uint64_t *keys, uint32_t ways, uint16_t a, uint16_t b)
+{
+    uint64_t key_a = a < ways ? keys[a] : UINT64_MAX;
+    uint64_t key_b = b < ways ? keys[b] : UINT64_MAX;
+    return key_b < key_a ? b : a;
+}
+
+} // namespace
 
 Cache::Cache(uint32_t size_bytes, uint32_t line_bytes, uint32_t ways,
              int latency)
@@ -20,6 +38,54 @@ Cache::Cache(uint32_t size_bytes, uint32_t line_bytes, uint32_t ways,
     lookup_ = FlatMap<uint32_t>(num_lines);
     lruKey_.resize(lines_.size(), 0);
     setFill_.resize(numSets_, 0);
+
+    while (leaves_ < ways_)
+        leaves_ <<= 1;
+    if (leaves_ > 65536) {
+        throw std::invalid_argument(
+            "cache associativity above 65536 ways overflows the "
+            "16-bit replacement tree");
+    }
+    tree_.resize(static_cast<size_t>(numSets_) * 2 * leaves_);
+    for (uint32_t set = 0; set < numSets_; set++) {
+        uint16_t *tree = tree_.data() + static_cast<size_t>(set) * 2 *
+                                            leaves_;
+        const uint64_t *keys = lruKey_.data() + set * ways_;
+        for (uint32_t w = 0; w < leaves_; w++)
+            tree[leaves_ + w] = static_cast<uint16_t>(w);
+        for (uint32_t node = leaves_ - 1; node >= 1; node--) {
+            tree[node] = winner(keys, ways_, tree[2 * node],
+                                tree[2 * node + 1]);
+        }
+    }
+}
+
+void
+Cache::touch(uint32_t index, uint64_t key)
+{
+    lruKey_[index] = key;
+    uint32_t set = index / ways_;
+    uint32_t way = index - set * ways_;
+    uint16_t *tree = tree_.data() + static_cast<size_t>(set) * 2 *
+                                        leaves_;
+    const uint64_t *keys = lruKey_.data() + set * ways_;
+    // Replay the matches on the path to the root. A node whose
+    // winner stays the same other way shields everything above it
+    // (the usual case once a hit only grew the key), so stop there.
+    for (uint32_t node = (leaves_ + way) >> 1; node >= 1; node >>= 1) {
+        uint16_t win = winner(keys, ways_, tree[2 * node],
+                              tree[2 * node + 1]);
+        if (win == tree[node] && win != way)
+            break;
+        tree[node] = win;
+    }
+}
+
+uint32_t
+Cache::victimWay(uint64_t line_addr) const
+{
+    size_t set = setIndex(line_addr);
+    return tree_[set * 2 * leaves_ + 1]; // the set's tournament root
 }
 
 uint32_t
@@ -68,7 +134,7 @@ Cache::probe(uint64_t line_addr, uint64_t cycle)
     if (!line) {
         stats.readMisses++;
     } else {
-        lruKey_[*index] = cycle + 1;
+        touch(*index, cycle + 1);
         if (line->validAt > cycle) {
             stats.readPendingHits++;
             result.outcome = CacheProbe::Outcome::PendingHit;
@@ -106,23 +172,13 @@ Cache::fill(uint64_t line_addr, uint64_t cycle, uint64_t valid_at)
     if (lookup_.contains(line_addr))
         return; // already present (raced fill)
 
-    // Find an invalid way or evict the LRU line of the set: argmin
-    // over the replacement keys (0 = invalid beats any timestamp;
-    // strict < keeps the lowest way on ties — both identical to the
-    // original two-phase scan over the Line structs).
+    // The first invalid way, else the LRU line of the set: the
+    // tournament root (argmin of the replacement keys, lowest way on
+    // ties).
     uint32_t base = set * ways_;
-    uint32_t victim = base;
-    uint64_t oldest = UINT64_MAX;
-    const uint64_t *keys = lruKey_.data() + base;
-    for (uint32_t w = 0; w < ways_; w++) {
-        if (keys[w] < oldest) {
-            oldest = keys[w];
-            victim = base + w;
-            if (oldest == 0)
-                break; // first invalid way wins outright
-        }
-    }
+    uint32_t victim = base + victimWay(line_addr);
 #if LUMI_CHECKS_ENABLED
+    const uint64_t *keys = lruKey_.data() + base;
     // Replacement legality: the victim must be an invalid way or the
     // true LRU of the set (no valid line older than it).
     if (lruKey_[victim] != 0) {
@@ -147,7 +203,7 @@ Cache::fill(uint64_t line_addr, uint64_t cycle, uint64_t valid_at)
     line.tag = line_addr;
     line.validAt = valid_at;
     line.valid = true;
-    lruKey_[victim] = cycle + 1;
+    touch(victim, cycle + 1);
     lookup_.insert(line_addr, victim);
     setFill_[set]++;
     // The tag index and the line array must stay in lockstep: a set
@@ -165,7 +221,7 @@ Cache::writeProbe(uint64_t line_addr, uint64_t cycle)
     Line *line = index ? &lines_[*index] : nullptr;
     bool hit = line && line->validAt <= cycle;
     if (hit) {
-        lruKey_[*index] = cycle + 1;
+        touch(*index, cycle + 1);
         stats.writeHits++;
     } else {
         stats.writeMisses++;

@@ -62,7 +62,8 @@ struct CacheStats
 
 /**
  * A set-associative (or fully associative) LRU cache with timestamped
- * lines. Replacement is true LRU via last-used timestamps.
+ * lines. Replacement is true LRU via last-used timestamps, selected
+ * through a per-set tournament tree.
  */
 class Cache
 {
@@ -104,6 +105,13 @@ class Cache
      */
     bool writeProbe(uint64_t line_addr, uint64_t cycle);
 
+    /**
+     * Way (within its set) that the next fill() of @p line_addr
+     * would replace: the lowest invalid way, else the least recently
+     * used one, the lowest way on ties. Side-effect free.
+     */
+    uint32_t victimWay(uint64_t line_addr) const;
+
     CacheStats stats;
 
   private:
@@ -117,6 +125,9 @@ class Cache
     uint32_t setIndex(uint64_t line_addr) const;
     Line *findLine(uint64_t line_addr);
     const Line *findLine(uint64_t line_addr) const;
+    /** Set lruKey_[@p index] to @p key and replay the set's
+     *  tournament up from that way. Every key write goes here. */
+    void touch(uint32_t index, uint64_t key);
 
     uint32_t lineBytes_;
     uint32_t numSets_;
@@ -135,14 +146,24 @@ class Cache
     FlatMap<uint32_t> lookup_;
     /**
      * Replacement keys, one per line: 0 for an invalid line, else
-     * lastUsed + 1. Kept apart from lines_ so victim selection is a
-     * tight argmin over a dense u64 array — the scan covers the
-     * whole cache when fully associative, and walking 40-byte Line
-     * structs for it dominated fill() cost. Lowest-index argmin
-     * reproduces the original policy exactly: a 0 key wins over any
-     * timestamp (first invalid way), ties fall to the lower way.
+     * lastUsed + 1. The victim is the argmin with ties to the lower
+     * way: a 0 key beats any timestamp (first invalid way), and
+     * same-cycle uses fall to the lowest way.
      */
     std::vector<uint64_t> lruKey_;
+    /** Ways rounded up to a power of two: tournament leaves. */
+    uint32_t leaves_ = 1;
+    /**
+     * Per-set tournament tree over lruKey_, 2 * leaves_ entries per
+     * set in heap order: node 1 is the root, leaf leaves_ + w holds
+     * way w, and every node holds the way winning its subtree.
+     * Padding leaves (w >= ways_) carry key +inf, and the left child
+     * wins ties, so the root is exactly the argmin above. A fill
+     * reads the root instead of scanning every way (512 of them in
+     * the fully associative L1); touch() keeps it current in
+     * O(log ways).
+     */
+    std::vector<uint16_t> tree_;
     /** Valid lines per set (tag-index/line-array lockstep check). */
     std::vector<uint32_t> setFill_;
 };

@@ -26,6 +26,9 @@ Gpu::Gpu(const GpuConfig &config, uint64_t timeline_interval,
     profile_.init(config_.numSms);
     smHadWork_.assign(static_cast<size_t>(config_.numSms), 0);
     drainTail_.assign(static_cast<size_t>(config_.numSms), 0);
+    smProfiledTo_.assign(static_cast<size_t>(config_.numSms), 0);
+    smOutcome_.assign(static_cast<size_t>(config_.numSms),
+                      IssueOutcome::None);
     coreCycled_.assign(static_cast<size_t>(config_.numSms), 0);
     rtCycled_.assign(static_cast<size_t>(config_.numSms), 0);
     rtDue_.assign(static_cast<size_t>(config_.numSms), 0);
@@ -65,6 +68,7 @@ Gpu::fillSlots(const KernelLaunch &launch, uint32_t &next_warp)
             launch.program(ctx);
             for (int k = 0; k < numRayKinds; k++)
                 stats_.raysByKind[k] += ctx.rayCounts()[k];
+            profileSm(static_cast<int>(i), now_);
             core.assignWarp(ctx.take(), next_warp, now_);
             smHadWork_[i] = 1;
             // The fresh warp is ready at now_: the core must
@@ -115,92 +119,112 @@ Gpu::reportDeadlock()
 }
 
 void
+Gpu::profileSm(int sm, uint64_t t)
+{
+#if LUMI_PROFILE_ENABLED
+    // Top-down cycle accounting over [profiledTo, t): the first
+    // cycle gets the issue outcome of the core's cycle() there (None
+    // when it did not cycle: a core the event loop skips has no
+    // issuable warp); the remaining cycles, in which by construction
+    // no warp can issue, get the stall class of the warp state that
+    // held since. Pure accounting: nothing here feeds back into
+    // simulated timing.
+    uint64_t from = smProfiledTo_[sm];
+    if (t <= from)
+        return;
+    uint64_t rest = t - from;
+    if (smOutcome_[sm] == IssueOutcome::Issued) {
+        profile_.addSm(sm, SmCycleBucket::Issued, 1);
+        rest--;
+    } else if (smOutcome_[sm] == IssueOutcome::MemReplay) {
+        profile_.addSm(sm, SmCycleBucket::MemPending, 1);
+        rest--;
+    }
+    if (rest > 0) {
+        switch (cores_[sm]->stallKind()) {
+          case SmStall::MemPending:
+            profile_.addSm(sm, SmCycleBucket::MemPending, rest);
+            break;
+          case SmStall::RtWait:
+            profile_.addSm(sm, SmCycleBucket::RtWait, rest);
+            break;
+          case SmStall::NoReadyWarp:
+            profile_.addSm(sm, SmCycleBucket::NoReadyWarp, rest);
+            break;
+          case SmStall::NoWarps:
+            if (smHadWork_[sm]) {
+                profile_.addSm(sm, SmCycleBucket::Drain, rest);
+                drainTail_[sm] += rest;
+            } else {
+                profile_.addSm(sm, SmCycleBucket::Empty, rest);
+            }
+            break;
+        }
+    }
+    smProfiledTo_[sm] = t;
+    smOutcome_[sm] = IssueOutcome::None;
+#else
+    (void)sm;
+    (void)t;
+#endif
+}
+
+void
+Gpu::profilePair(int sm, uint64_t t)
+{
+    profileSm(sm, t);
+#if LUMI_PROFILE_ENABLED
+    rtUnits_[sm]->profileTo(t, profile_);
+#endif
+}
+
+void
+Gpu::profileAll(uint64_t t)
+{
+    for (int sm = 0; sm < config_.numSms; sm++)
+        profilePair(sm, t);
+}
+
+void
+Gpu::cycleCore(int sm)
+{
+    // cycle() may hand a traceRay to the paired RT unit, so both
+    // accounts close here.
+    profilePair(sm, now_);
+    cores_[sm]->cycle(now_);
+    coreCycled_[sm] = 1;
+    smOutcome_[sm] = cores_[sm]->lastOutcome();
+}
+
+void
+Gpu::cycleRt(int sm)
+{
+    // cycle() may hand a finished warp back to the paired core.
+    profilePair(sm, now_);
+    rtUnits_[sm]->cycle(now_);
+    rtCycled_[sm] = 1;
+}
+
+void
 Gpu::accountSpan(uint64_t next)
 {
     // Accumulate state-weighted statistics over (now, next]: no
-    // component changes state in the skipped span.
+    // component changes state in the skipped span, and the units
+    // keep the GPU-wide residency current as they change it.
     uint64_t dt = next - now_;
-
-#if LUMI_PROFILE_ENABLED
-    // Top-down cycle accounting over [now, next): cycle now gets
-    // the issue outcome; the remaining dt-1 cycles (in which, by
-    // construction of next, no warp can issue) get the stall
-    // classification from post-issue warp state. Pure accounting:
-    // nothing here feeds back into simulated timing. A core the
-    // event loop skipped had no issuable warp at now (or it would
-    // have been due), so its outcome is None by construction and
-    // its stale lastOutcome() is never read.
-    for (size_t i = 0; i < cores_.size(); i++) {
-        uint64_t rest = dt;
-        IssueOutcome outcome = coreCycled_[i]
-                                   ? cores_[i]->lastOutcome()
-                                   : IssueOutcome::None;
-        if (outcome == IssueOutcome::Issued) {
-            profile_.addSm(static_cast<int>(i),
-                           SmCycleBucket::Issued, 1);
-            rest--;
-        } else if (outcome == IssueOutcome::MemReplay) {
-            profile_.addSm(static_cast<int>(i),
-                           SmCycleBucket::MemPending, 1);
-            rest--;
-        }
-        if (rest > 0) {
-            switch (cores_[i]->stallKind()) {
-              case SmStall::MemPending:
-                profile_.addSm(static_cast<int>(i),
-                               SmCycleBucket::MemPending, rest);
-                break;
-              case SmStall::RtWait:
-                profile_.addSm(static_cast<int>(i),
-                               SmCycleBucket::RtWait, rest);
-                break;
-              case SmStall::NoReadyWarp:
-                profile_.addSm(static_cast<int>(i),
-                               SmCycleBucket::NoReadyWarp, rest);
-                break;
-              case SmStall::NoWarps:
-                if (smHadWork_[i]) {
-                    profile_.addSm(static_cast<int>(i),
-                                   SmCycleBucket::Drain, rest);
-                    drainTail_[i] += rest;
-                } else {
-                    profile_.addSm(static_cast<int>(i),
-                                   SmCycleBucket::Empty, rest);
-                }
-                break;
-            }
-        }
-        rtUnits_[i]->profileSpan(now_, next, profile_);
-    }
-#endif
-
-    int resident = 0;
-    for (auto &core : cores_)
-        resident += core->residentWarps();
-    int rt_warps = 0, rt_rays = 0, rt_active_units = 0;
-    for (auto &rt : rtUnits_) {
-        rt_warps += rt->activeWarps();
-        rt_rays += rt->activeRays();
-        if (rt->activeWarps() > 0)
-            rt_active_units++;
-    }
-    stats_.warpCyclesResident += static_cast<uint64_t>(resident) *
+    const ResidencyTotals &live = stats_.resident;
+    stats_.warpCyclesResident += static_cast<uint64_t>(live.coreWarps) *
                                  dt;
-    stats_.rtWarpCycles += static_cast<uint64_t>(rt_warps) * dt;
-    stats_.rtRayCycles += static_cast<uint64_t>(rt_rays) * dt;
+    stats_.rtWarpCycles += static_cast<uint64_t>(live.rtWarps) * dt;
+    stats_.rtRayCycles += static_cast<uint64_t>(live.rtRays) * dt;
     for (int k = 0; k < numRayKinds; k++) {
-        int warps_k = 0, rays_k = 0;
-        for (auto &rt : rtUnits_) {
-            warps_k += rt->warpsOfKind(k);
-            rays_k += rt->raysOfKind(k);
-        }
         stats_.rtWarpCyclesByKind[k] +=
-            static_cast<uint64_t>(warps_k) * dt;
+            static_cast<uint64_t>(live.rtWarpsByKind[k]) * dt;
         stats_.rtRayCyclesByKind[k] +=
-            static_cast<uint64_t>(rays_k) * dt;
+            static_cast<uint64_t>(live.rtRaysByKind[k]) * dt;
     }
     stats_.rtActiveCycles += static_cast<uint64_t>(
-                                 rt_active_units) *
+                                 live.rtActiveUnits) *
                              dt;
     now_ = next;
     // Keep the registered gpu.cycles counter current so interval
@@ -208,8 +232,12 @@ Gpu::accountSpan(uint64_t next)
     // happen identically whether or not a sampler is attached.
     stats_.cycles = now_;
     timeline_.record(now_, snapshot());
-    if (sampler_)
+    // A sample reads the profile.* counters too: bring every unit's
+    // account up to the clock first (a split span sums the same).
+    if (sampler_ && sampler_->due(now_)) {
+        profileAll(now_);
         sampler_->maybeSample(now_);
+    }
 }
 
 void
@@ -243,16 +271,14 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         // cycle() would be a no-op).
         if (first) {
             for (int i = 0; i < n; i++) {
-                cores_[i]->cycle(now_);
-                coreCycled_[i] = 1;
+                cycleCore(i);
                 rtDue_[i] = 1;
             }
         } else {
             queue_.popDue(now_, due_);
             for (int comp : due_) {
                 if (comp < n) {
-                    cores_[comp]->cycle(now_);
-                    coreCycled_[comp] = 1;
+                    cycleCore(comp);
                 } else if (comp < mem_comp) {
                     rtDue_[comp - n] = 1;
                 }
@@ -271,8 +297,7 @@ Gpu::runEventLoop(const KernelLaunch &launch, uint32_t &next_warp)
         for (int i = 0; i < n; i++) {
             if (rtDue_[i] || (coreCycled_[i] &&
                               cores_[i]->rtEnqueuedThisCycle())) {
-                rtUnits_[i]->cycle(now_);
-                rtCycled_[i] = 1;
+                cycleRt(i);
             }
         }
         if (timed)
@@ -372,6 +397,37 @@ Gpu::run(const KernelLaunch &launch)
     // Retire every in-flight fill so the MSHR conservation checks
     // and occupancy histograms cover the whole run.
     mem_->drainAll();
+
+    // Close every unit's account at the final clock, before the
+    // conservation checks. The outcome of the last landing's core
+    // cycles lies past the end of the run (the clock never moves
+    // beyond that landing), so it is never charged: a following
+    // launch cycles every core again at this same cycle.
+    profileAll(now_);
+
+#if LUMI_CHECKS_ENABLED
+    // The running residency totals must equal the per-unit counts.
+    ResidencyTotals sum;
+    for (int sm = 0; sm < config_.numSms; sm++) {
+        const RtUnit &rt = *rtUnits_[sm];
+        sum.coreWarps += cores_[sm]->residentWarps();
+        sum.rtWarps += rt.activeWarps();
+        sum.rtRays += rt.activeRays();
+        sum.rtActiveUnits += rt.activeWarps() > 0 ? 1 : 0;
+        for (int k = 0; k < numRayKinds; k++) {
+            sum.rtWarpsByKind[k] += rt.warpsOfKind(k);
+            sum.rtRaysByKind[k] += rt.raysOfKind(k);
+        }
+    }
+    const ResidencyTotals &live = stats_.resident;
+    LUMI_CHECK(Profile, sum == live,
+               "residency totals drift from the units (running/summed): "
+               "core warps %d/%d, RT warps %d/%d, rays %d/%d, active "
+               "units %d/%d (or a per-kind count)",
+               live.coreWarps, sum.coreWarps, live.rtWarps, sum.rtWarps,
+               live.rtRays, sum.rtRays, live.rtActiveUnits,
+               sum.rtActiveUnits);
+#endif
 
 #if LUMI_PROFILE_ENABLED
     // Conservation: the bucket taxonomy must account for every cycle

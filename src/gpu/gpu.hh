@@ -7,6 +7,8 @@
  * the current cycle, time jumps to the earliest pending event, with
  * residency/occupancy statistics accumulated over the skipped span
  * (state is constant while nothing fires, so the weighting is exact).
+ * The top-down cycle account is change-driven: a unit's span is
+ * attributed only when its state is about to change.
  */
 
 #ifndef LUMI_GPU_GPU_HH
@@ -182,13 +184,27 @@ class Gpu
     bool anyBusy(uint32_t next_warp,
                  const KernelLaunch &launch) const;
     /**
-     * Close the landing span [now_, next): top-down cycle accounting
-     * (cores not flagged in coreCycled_ provably produced
-     * IssueOutcome::None, so their stale outcome is not read),
-     * state-weighted residency statistics, then the landing
+     * Close the landing span [now_, next): state-weighted residency
+     * statistics from the running ResidencyTotals, then the landing
      * bookkeeping (clock, timeline, interval sampler).
      */
     void accountSpan(uint64_t next);
+    /**
+     * Top-down cycle accounting of SM @p sm over [smProfiledTo_, t):
+     * the first cycle gets the issue outcome of the core's cycle()
+     * there, if it ran, the rest the stall class of the current warp
+     * state. Called before anything changes that state at @p t, so
+     * one state held over the whole span. No-op for an empty span.
+     */
+    void profileSm(int sm, uint64_t t);
+    /** profileSm() plus RtUnit::profileTo() for SM @p sm's pair. */
+    void profilePair(int sm, uint64_t t);
+    /** Bring every SM and RT unit's cycle account up to @p t. */
+    void profileAll(uint64_t t);
+    /** Cycle core @p sm at now_, accounting the span it ends. */
+    void cycleCore(int sm);
+    /** Cycle RT unit @p sm at now_, accounting the span it ends. */
+    void cycleRt(int sm);
     /** Diagnose a busy-but-eventless state and mark the run
      *  deadlocked/aborted (reported as SimulationAborted upstream). */
     void reportDeadlock();
@@ -216,6 +232,11 @@ class Gpu
     /** Per-SM drain cycles of the current kernel, reclassified to
      *  sync when another kernel follows (implicit barrier). */
     std::vector<uint64_t> drainTail_;
+    /** Per-SM end of the span already in profile_. */
+    std::vector<uint64_t> smProfiledTo_;
+    /** Per-SM outcome of the core's cycle() at smProfiledTo_ (None
+     *  when the core did not cycle there). */
+    std::vector<IssueOutcome> smOutcome_;
     std::vector<LaunchSample> launchSamples_;
     /** Component next-event registrations: cores are components
      *  [0, numSms), RT units [numSms, 2*numSms), the memory system

@@ -128,6 +128,13 @@ RtUnit::admit(const PendingWarp &pending, uint64_t now)
     warpsByKind_[slot.rayKind]++;
     stats_.raysTraced += slot.remaining;
     residentWarps_++;
+    ResidencyTotals &live = stats_.resident;
+    live.rtRays += slot.remaining;
+    live.rtRaysByKind[slot.rayKind] += slot.remaining;
+    live.rtWarpsByKind[slot.rayKind]++;
+    live.rtWarps++;
+    if (residentWarps_ == 1)
+        live.rtActiveUnits++;
 
     // The packed event word gives each slot index Event::slotBits.
     LUMI_CHECK(Rt,
@@ -257,6 +264,8 @@ RtUnit::advanceRay(uint32_t warp_index, uint32_t ray_index,
         warp.remaining--;
         activeRays_--;
         raysByKind_[warp.rayKind]--;
+        stats_.resident.rtRays--;
+        stats_.resident.rtRaysByKind[warp.rayKind]--;
         warp.rayLifetimeSum += now - warp.admitCycle;
         // Fold this ray's traversal statistics into the run totals.
         const TraversalStats &ts = ray.machine->stats();
@@ -351,11 +360,13 @@ RtUnit::advanceRay(uint32_t warp_index, uint32_t ray_index,
 }
 
 void
-RtUnit::profileSpan(uint64_t begin, uint64_t end,
-                    CycleProfile &profile) const
+RtUnit::profileTo(uint64_t t, CycleProfile &profile)
 {
+    const uint64_t begin = profiledTo_;
+    const uint64_t end = t;
     if (end <= begin)
         return;
+    profiledTo_ = end;
     uint64_t dt = end - begin;
     if (events_.empty()) {
         // No traversal in flight: either only queued hit-record
@@ -459,6 +470,11 @@ RtUnit::completeWarp(uint32_t warp_index, uint64_t now)
     // the next residency and are cleared on admit.
     warp.active = false;
     residentWarps_--;
+    ResidencyTotals &live = stats_.resident;
+    live.rtWarpsByKind[warp.rayKind]--;
+    live.rtWarps--;
+    if (residentWarps_ == 0)
+        live.rtActiveUnits--;
     core->wakeWarp(slot, now + 1);
 
     if (pendingHead_ < pending_.size()) {

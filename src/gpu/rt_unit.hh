@@ -76,14 +76,15 @@ class RtUnit
     }
 
     /**
-     * Attribute cycles [begin, end) of this unit into @p profile
-     * (top-down cycle accounting). Called from the Gpu::run loop
-     * once unit state is stable for the span; the head event's
-     * fetch/box/primitive windows partition the span exactly, so
-     * the buckets conserve cycles by construction. Pure observer.
+     * Attribute cycles [profiledTo, @p t) of this unit into
+     * @p profile (top-down cycle accounting) and move profiledTo to
+     * @p t. The Gpu calls it before anything changes the unit's
+     * state at @p t (cycle(), enqueue()), so one state held over the
+     * whole span; the head event's fetch/box/primitive windows
+     * partition it exactly, so the buckets conserve cycles by
+     * construction. Pure observer.
      */
-    void profileSpan(uint64_t begin, uint64_t end,
-                     CycleProfile &profile) const;
+    void profileTo(uint64_t t, CycleProfile &profile);
 
   private:
     struct RayState
@@ -208,6 +209,8 @@ class RtUnit
      *  largest-BLAS scan 100M+ times dominated the hot path). */
     size_t checkTlasNodes_ = 0;
     size_t checkMaxBlasNodes_ = 0;
+    /** End of the span already attributed by profileTo(). */
+    uint64_t profiledTo_ = 0;
     int activeRays_ = 0;
     int residentWarps_ = 0;
     int warpsByKind_[numRayKinds] = {};

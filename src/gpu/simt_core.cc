@@ -40,6 +40,7 @@ SimtCore::assignWarp(WarpProgram &&program, uint32_t warp_id,
         order_[i] = launchCounter_++;
         setState(static_cast<int>(i), SlotState::ExecWait);
         residentWarps_++;
+        stats_.resident.coreWarps++;
         stats_.warpsLaunched++;
         LUMI_CHECK(Simt, residentWarps_ <= config_.maxWarpsPerSm,
                    "sm%d over-subscribed: %d resident warps with "
@@ -81,6 +82,7 @@ SimtCore::retire(int slot_index, uint64_t now)
     readyKey_[slot_index] = UINT64_MAX;
     slot.program.instrs.clear();
     residentWarps_--;
+    stats_.resident.coreWarps--;
 }
 
 void

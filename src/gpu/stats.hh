@@ -31,6 +31,23 @@ enum class RayKind : uint8_t
 constexpr int numRayKinds = static_cast<int>(RayKind::NumKinds);
 constexpr int numWarpOps = 5;
 
+/**
+ * GPU-wide residency right now (gauges, not counters). The SIMT cores
+ * and RT units update it next to their own counts, so the cycle loop
+ * weights residency by span length without rescanning every unit.
+ */
+struct ResidencyTotals
+{
+    int coreWarps = 0;     ///< sum of SimtCore::residentWarps()
+    int rtWarps = 0;       ///< sum of RtUnit::activeWarps()
+    int rtRays = 0;        ///< sum of RtUnit::activeRays()
+    int rtActiveUnits = 0; ///< RT units holding at least one warp
+    int rtWarpsByKind[numRayKinds] = {};
+    int rtRaysByKind[numRayKinds] = {};
+
+    bool operator==(const ResidencyTotals &) const = default;
+};
+
 /** Counters accumulated over one simulation. */
 struct GpuStats
 {
@@ -77,6 +94,10 @@ struct GpuStats
     /** Rays that found a hit / rays that missed everything. */
     uint64_t raysHit = 0;
     uint64_t raysMissed = 0;
+
+    /** Current residency behind the *Cycles* counters above (not a
+     *  stat: never registered or dumped). */
+    ResidencyTotals resident;
 
     // --- Derived ---
     double

@@ -116,9 +116,12 @@ class IntervalSampler
     void
     maybeSample(uint64_t cycle)
     {
-        if (cycle >= next_)
+        if (due(cycle))
             capture(cycle);
     }
+
+    /** True when maybeSample(@p cycle) would capture a sample. */
+    bool due(uint64_t cycle) const { return cycle >= next_; }
 
     /** Force a closing sample at @p cycle (end of a launch). */
     void sampleFinal(uint64_t cycle);

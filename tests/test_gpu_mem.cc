@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <map>
 
 #include "gpu/address_space.hh"
@@ -19,11 +20,13 @@
 #include "gpu/dram.hh"
 #include "gpu/capacity_calendar.hh"
 #include "gpu/mem_system.hh"
+#include "gpu/stat_bindings.hh"
 #include "lumibench/runner.hh"
 #include "lumibench/workload.hh"
 #include "math/rng.hh"
 #include "rt/pipeline.hh"
 #include "scene/scene_library.hh"
+#include "trace/stat_registry.hh"
 
 namespace lumi
 {
@@ -147,6 +150,98 @@ TEST(Cache, WriteProbeNoAllocate)
     EXPECT_EQ(cache.probe(0, 1).outcome, CacheProbe::Outcome::Miss);
     cache.fill(0, 2, 2);
     EXPECT_TRUE(cache.writeProbe(0, 10));
+}
+
+TEST(Cache, VictimMatchesReferenceArgmin)
+{
+    // A seeded mix of probes, write probes and fills against a shadow
+    // of every line's tag, fill time and replacement key (0 invalid,
+    // else lastUsed + 1). After every operation the cache's victim
+    // must be the reference argmin of its set's keys, lowest way on
+    // ties. Most operations share a cycle (ties), some step back in
+    // time (keys shrink), and the first fills land in invalid ways.
+    // 6 ways pads the replacement tree to 8 leaves.
+    struct Geometry
+    {
+        uint32_t ways;
+        uint32_t sets;
+    };
+    const Geometry geometries[] = {{512, 1}, {16, 4}, {6, 4}, {1, 8}};
+    const uint32_t line = 128;
+    for (const Geometry &g : geometries) {
+        const uint32_t lines = g.ways * g.sets;
+        Cache cache(lines * line, line, g.ways == lines ? 0 : g.ways,
+                    1);
+        struct Shadow
+        {
+            uint64_t tag = 0;
+            uint64_t validAt = 0;
+            uint64_t key = 0;
+        };
+        std::vector<Shadow> shadow(lines);
+        auto find = [&](uint64_t addr) -> int {
+            for (uint32_t i = 0; i < lines; i++) {
+                if (shadow[i].key != 0 && shadow[i].tag == addr)
+                    return static_cast<int>(i);
+            }
+            return -1;
+        };
+        auto reference = [&](uint32_t set) {
+            uint32_t best = 0;
+            for (uint32_t w = 1; w < g.ways; w++) {
+                if (shadow[set * g.ways + w].key <
+                    shadow[set * g.ways + best].key) {
+                    best = w;
+                }
+            }
+            return best;
+        };
+        Rng rng(29);
+        uint64_t cycle = 1000;
+        for (int i = 0; i < 20000; i++) {
+            uint32_t step = rng.nextBelow(20);
+            if (step == 19)
+                cycle -= rng.nextBelow(16); // out of order
+            else if (step >= 12)
+                cycle += 1 + rng.nextBelow(3);
+            uint64_t addr = static_cast<uint64_t>(
+                                rng.nextBelow(2 * lines)) *
+                            line;
+            uint32_t set = static_cast<uint32_t>(addr / line) % g.sets;
+            int at = find(addr);
+            uint32_t op = rng.nextBelow(5);
+            if (op < 2) {
+                CacheProbe probe = cache.probe(addr, cycle);
+                if (at < 0) {
+                    ASSERT_EQ(probe.outcome, CacheProbe::Outcome::Miss)
+                        << "op " << i;
+                } else {
+                    bool pending = shadow[at].validAt > cycle;
+                    ASSERT_EQ(probe.outcome,
+                              pending ? CacheProbe::Outcome::PendingHit
+                                      : CacheProbe::Outcome::Hit)
+                        << "op " << i;
+                    shadow[at].key = cycle + 1;
+                }
+            } else if (op == 2) {
+                bool hit = at >= 0 && shadow[at].validAt <= cycle;
+                ASSERT_EQ(cache.writeProbe(addr, cycle), hit)
+                    << "op " << i;
+                if (hit)
+                    shadow[at].key = cycle + 1;
+            } else {
+                uint64_t valid_at = cycle + rng.nextBelow(20);
+                cache.fill(addr, cycle, valid_at);
+                if (at < 0) {
+                    Shadow &victim = shadow[set * g.ways +
+                                            reference(set)];
+                    victim = {addr, valid_at, cycle + 1};
+                }
+            }
+            ASSERT_EQ(cache.victimWay(addr), reference(set))
+                << g.ways << "-way, op " << i;
+        }
+    }
 }
 
 TEST(Dram, RowBufferHitsAreFaster)
@@ -753,6 +848,143 @@ TEST(GoldenParity, DynamicScenePins)
             << pin.config.name;
         EXPECT_EQ(gpu.memSystem().dram().stats().accesses, 337u)
             << pin.config.name;
+    }
+}
+
+TEST(GoldenParity, ObserverCountersPins)
+{
+    // The residency counters and the top-down cycle account are pure
+    // observers. The profile conservation checks only pin bucket
+    // sums, so an attribution that shifts cycles between buckets (or
+    // residency between ray kinds) while conserving the totals would
+    // pass them; these absolute pins would not. Recorded from the
+    // eager per-landing accounting at the golden-test size (16x16).
+    struct Pin
+    {
+        const char *name;
+        uint64_t value;
+    };
+    struct Case
+    {
+        Workload workload;
+        GpuConfig config;
+        std::vector<Pin> pins;
+    };
+    const Case cases[] = {
+        {{SceneId::BUNNY, ShaderKind::AmbientOcclusion},
+         GpuConfig::mobile(),
+         {
+             {"gpu.warp_cycles_resident", 153935},
+             {"profile.rt.busy_box", 30259},
+             {"profile.rt.busy_procedural", 0},
+             {"profile.rt.busy_tri", 9800},
+             {"profile.rt.fetch_wait", 102679},
+             {"profile.rt.idle", 75902},
+             {"profile.rt.writeback_stall", 0},
+             {"profile.sm.drain", 64698},
+             {"profile.sm.empty", 0},
+             {"profile.sm.issued", 831},
+             {"profile.sm.mem_pending", 7229},
+             {"profile.sm.no_ready_warp", 3144},
+             {"profile.sm.rt_wait", 142738},
+             {"profile.sm.sync", 0},
+             {"rt.active_cycles", 142738},
+             {"rt.ray_cycles", 1989860},
+             {"rt.ray_cycles_by_kind.ao", 479134},
+             {"rt.ray_cycles_by_kind.primary", 1510726},
+             {"rt.ray_cycles_by_kind.query", 0},
+             {"rt.ray_cycles_by_kind.secondary", 0},
+             {"rt.ray_cycles_by_kind.shadow", 0},
+             {"rt.warp_cycles", 142738},
+             {"rt.warp_cycles_by_kind.ao", 58313},
+             {"rt.warp_cycles_by_kind.primary", 84425},
+             {"rt.warp_cycles_by_kind.query", 0},
+             {"rt.warp_cycles_by_kind.secondary", 0},
+             {"rt.warp_cycles_by_kind.shadow", 0},
+         }},
+        {{SceneId::BUNNY, ShaderKind::AmbientOcclusion},
+         GpuConfig::table4(),
+         {
+             {"gpu.warp_cycles_resident", 156981},
+             {"profile.rt.busy_box", 29111},
+             {"profile.rt.busy_procedural", 0},
+             {"profile.rt.busy_tri", 8733},
+             {"profile.rt.fetch_wait", 105709},
+             {"profile.rt.idle", 77775},
+             {"profile.rt.writeback_stall", 0},
+             {"profile.sm.drain", 64340},
+             {"profile.sm.empty", 0},
+             {"profile.sm.issued", 831},
+             {"profile.sm.mem_pending", 9460},
+             {"profile.sm.no_ready_warp", 3144},
+             {"profile.sm.rt_wait", 143553},
+             {"profile.sm.sync", 0},
+             {"rt.active_cycles", 143553},
+             {"rt.ray_cycles", 2026769},
+             {"rt.ray_cycles_by_kind.ao", 477716},
+             {"rt.ray_cycles_by_kind.primary", 1549053},
+             {"rt.ray_cycles_by_kind.query", 0},
+             {"rt.ray_cycles_by_kind.secondary", 0},
+             {"rt.ray_cycles_by_kind.shadow", 0},
+             {"rt.warp_cycles", 143553},
+             {"rt.warp_cycles_by_kind.ao", 57509},
+             {"rt.warp_cycles_by_kind.primary", 86044},
+             {"rt.warp_cycles_by_kind.query", 0},
+             {"rt.warp_cycles_by_kind.secondary", 0},
+             {"rt.warp_cycles_by_kind.shadow", 0},
+         }},
+        {{SceneId::AMR, ShaderKind::PointContainment},
+         GpuConfig::table4(),
+         {
+             {"gpu.warp_cycles_resident", 32134},
+             {"profile.rt.busy_box", 1188},
+             {"profile.rt.busy_procedural", 426},
+             {"profile.rt.busy_tri", 0},
+             {"profile.rt.fetch_wait", 21902},
+             {"profile.rt.idle", 17900},
+             {"profile.rt.writeback_stall", 0},
+             {"profile.sm.drain", 9275},
+             {"profile.sm.empty", 0},
+             {"profile.sm.issued", 443},
+             {"profile.sm.mem_pending", 6523},
+             {"profile.sm.no_ready_warp", 1659},
+             {"profile.sm.rt_wait", 23516},
+             {"profile.sm.sync", 0},
+             {"rt.active_cycles", 23516},
+             {"rt.ray_cycles", 601273},
+             {"rt.ray_cycles_by_kind.ao", 0},
+             {"rt.ray_cycles_by_kind.primary", 0},
+             {"rt.ray_cycles_by_kind.query", 601273},
+             {"rt.ray_cycles_by_kind.secondary", 0},
+             {"rt.ray_cycles_by_kind.shadow", 0},
+             {"rt.warp_cycles", 23516},
+             {"rt.warp_cycles_by_kind.ao", 0},
+             {"rt.warp_cycles_by_kind.primary", 0},
+             {"rt.warp_cycles_by_kind.query", 23516},
+             {"rt.warp_cycles_by_kind.secondary", 0},
+             {"rt.warp_cycles_by_kind.shadow", 0},
+         }},
+    };
+    for (const Case &c : cases) {
+        RunOptions options;
+        options.params.width = 16;
+        options.params.height = 16;
+        options.config = c.config;
+        WorkloadResult r = runWorkload(c.workload, options);
+        StatRegistry registry;
+        registerGpuStats(registry, r.stats);
+        registerCycleBuckets(registry, r.profileSm, r.profileRt,
+                             "profile.sm", "profile.rt");
+        for (const Pin &pin : c.pins) {
+            // -DLUMI_PROFILE=OFF builds keep every bucket at zero.
+            if (!LUMI_PROFILE_ENABLED &&
+                std::strncmp(pin.name, "profile.", 8) == 0) {
+                continue;
+            }
+            ASSERT_TRUE(registry.has(pin.name)) << pin.name;
+            EXPECT_EQ(registry.counterValue(pin.name), pin.value)
+                << r.id << "/" << c.config.name << " " << pin.name;
+        }
     }
 }
 

@@ -231,6 +231,38 @@ TEST(Interval, FinalSampleMatchesEndOfRunStats)
     }
 }
 
+TEST(Interval, ProfileSamplesCoverEverySampledCycle)
+{
+    // A unit's top-down account is attributed only when its state
+    // changes, so every unit must be brought up to the clock before
+    // a sample is taken: at each sample, not only at the end of the
+    // run, the buckets sum to cycles x units.
+    if (!LUMI_PROFILE_ENABLED)
+        GTEST_SKIP() << "cycle accounting compiled out";
+    RunOptions options = quickOptions();
+    options.intervalStats = 250;
+    WorkloadResult result = runWorkload(quickWorkload(), options);
+
+    const IntervalSeries &series = result.intervalSeries;
+    ASSERT_GT(series.sampleCount(), 2u);
+    const uint64_t units = static_cast<uint64_t>(options.config.numSms);
+    for (const std::string prefix : {"profile.sm.", "profile.rt."}) {
+        std::vector<size_t> columns;
+        for (size_t s = 0; s < series.names.size(); s++) {
+            if (series.names[s].rfind(prefix, 0) == 0)
+                columns.push_back(s);
+        }
+        ASSERT_FALSE(columns.empty()) << prefix;
+        for (size_t i = 0; i < series.sampleCount(); i++) {
+            uint64_t sum = 0;
+            for (size_t s : columns)
+                sum += series.at(s, i);
+            EXPECT_EQ(sum, series.cycles[i] * units)
+                << prefix << " sample " << i;
+        }
+    }
+}
+
 TEST(Interval, SeriesIsDeterministicAcrossRuns)
 {
     RunOptions options = quickOptions();

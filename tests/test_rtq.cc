@@ -144,8 +144,9 @@ TEST(RtqTraversal, ZeroLengthRayHitsIffOriginInsideCell)
             accel, ray, false, 1e-4f, 0.0f);
         ASSERT_FALSE(std::isnan(hit.t)) << "point " << i;
         EXPECT_EQ(hit.hit, inside) << "point " << i;
-        if (hit.hit)
+        if (hit.hit) {
             EXPECT_EQ(hit.t, 0.0f);
+        }
     }
 }
 
